@@ -19,6 +19,31 @@ func BenchmarkSequentialWrite4K(b *testing.B) {
 	}
 }
 
+// BenchmarkDeviceWrite1M measures one page-aligned 1 MiB write into fresh
+// store pages, the bulk write path. Its allocs/op is gated in CI: the store
+// adopts the device's payload copy, so the count must not scale with the
+// number of pages.
+func BenchmarkDeviceWrite1M(b *testing.B) {
+	const size, span = 1 << 20, 64 << 20
+	d := New(Config{Size: span, Model: ZeroLatency(), Clock: clock.Real(1)})
+	defer d.Close()
+	buf := make([]byte, size)
+	b.SetBytes(size)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		off := int64(i) * size % span
+		if off == 0 && i > 0 {
+			b.StopTimer()
+			d.store = newPageStore() // keep every write on fresh pages
+			b.StartTimer()
+		}
+		if err := d.Write(off, buf); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func BenchmarkRandomRead4K(b *testing.B) {
 	d := New(Config{Size: 1 << 30, Model: ZeroLatency(), Clock: clock.Real(1)})
 	defer d.Close()

@@ -100,7 +100,7 @@ type request struct {
 	op   Op
 	off  int64
 	n    int64
-	data []byte // write payload (owned copy)
+	data []byte // write payload (owned copy, adopted by the store)
 	buf  []byte // read destination, len n, filled at completion
 	done chan error
 	enq  time.Time
@@ -179,7 +179,9 @@ func (d *Device) ID() int { return d.cfg.ID }
 func (d *Device) Size() int64 { return d.cfg.Size }
 
 // WriteAsync submits a write of p at off and returns a channel that receives
-// the result once the write is durable. The payload is copied.
+// the result once the write is durable. The payload is copied exactly once,
+// here, so the caller may reuse p as soon as WriteAsync returns; at
+// completion the device store adopts that copy as the stored bytes.
 func (d *Device) WriteAsync(off int64, p []byte) <-chan error {
 	done := make(chan error, 1)
 	if len(p) == 0 {
@@ -368,17 +370,13 @@ func (d *Device) complete(q *ior, head int64, st time.Duration) {
 						keep = r.n - 1
 					}
 					if keep > 0 {
-						d.store.writeAt(r.data[:keep], r.off)
-						d.durable.add(r.off, r.off+keep)
-						d.bytesWrite.Add(keep)
+						d.persist(r, keep)
 					}
 					errs[i] = fmt.Errorf("%w: torn write [%d,%d) kept %d bytes", ErrInjected, r.off, r.off+r.n, keep)
 					continue
 				}
 			}
-			d.store.writeAt(r.data, r.off)
-			d.durable.add(r.off, r.off+r.n)
-			d.bytesWrite.Add(r.n)
+			d.persist(r, r.n)
 		}
 	}
 
@@ -418,6 +416,21 @@ func (d *Device) complete(q *ior, head int64, st time.Duration) {
 		}
 		d.cfg.Tracer.Record(d.track, obs.SpanDevTransfer, 0, dispatch.Add(seekT), now)
 	}
+}
+
+// persist stores the first n bytes of write r's payload and records them as
+// durable. A page-aligned payload is adopted by the store: it is the
+// device's own copy (see WriteAsync), so its pages need no second copy. An
+// unaligned payload is copied, because adopting its fully covered pages
+// would let them pin the partially covered edge bytes of every such write.
+func (d *Device) persist(r *request, n int64) {
+	if r.off%pageSize == 0 && r.n%pageSize == 0 {
+		d.store.adopt(r.data[:n], r.off)
+	} else {
+		d.store.writeAt(r.data[:n], r.off)
+	}
+	d.durable.add(r.off, r.off+n)
+	d.bytesWrite.Add(n)
 }
 
 // Crash simulates a power failure: queued and future requests fail, and the

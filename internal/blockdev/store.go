@@ -1,6 +1,7 @@
 package blockdev
 
 import (
+	"slices"
 	"sort"
 	"sync"
 )
@@ -22,6 +23,31 @@ func newPageStore() *pageStore { return &pageStore{pages: make(map[int64][]byte)
 func (s *pageStore) writeAt(p []byte, off int64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.writeLocked(p, off)
+}
+
+// adopt stores p at a page-aligned off like writeAt, but takes ownership of
+// p: every fully covered page whose slot is still empty becomes a
+// capacity-capped sub-slice of p instead of a fresh copy. Slots that already
+// exist are overwritten in place, and a partial last page is copied. The
+// caller must never touch p again.
+func (s *pageStore) adopt(p []byte, off int64) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for ; len(p) >= pageSize; p, off = p[pageSize:], off+pageSize {
+		idx := off / pageSize
+		if pg := s.pages[idx]; pg != nil {
+			copy(pg, p[:pageSize])
+		} else {
+			s.pages[idx] = p[:pageSize:pageSize]
+		}
+	}
+	s.writeLocked(p, off)
+}
+
+// writeLocked copies p into the pages covering [off, off+len(p)), creating
+// missing ones. Caller holds s.mu.
+func (s *pageStore) writeLocked(p []byte, off int64) {
 	for len(p) > 0 {
 		idx := off / pageSize
 		in := off - idx*pageSize
@@ -93,11 +119,8 @@ func (s *intervalSet) add(start, end int64) {
 		}
 		j++
 	}
-	out := make([]interval, 0, len(s.iv)-(j-i)+1)
-	out = append(out, s.iv[:i]...)
-	out = append(out, interval{start, end})
-	out = append(out, s.iv[j:]...)
-	s.iv = out
+	// Splice in place; the backing array grows only when the set does.
+	s.iv = slices.Replace(s.iv, i, j, interval{start, end})
 }
 
 // contains reports whether [start, end) is fully covered.

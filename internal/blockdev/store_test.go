@@ -2,6 +2,7 @@ package blockdev
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -48,22 +49,31 @@ func TestPageStoreQuickRoundTrip(t *testing.T) {
 	// Reference model: one flat slice.
 	const size = 1 << 16
 	ref := make([]byte, size)
-	f := func(off uint16, raw []byte) bool {
-		if len(raw) == 0 {
+	f := func(off uint16, raw []byte, pages uint8, adopt bool) bool {
+		// Whole pages ahead of raw give the store payloads it can adopt.
+		p := append(pattern(pages, int(pages%4)*pageSize), raw...)
+		if len(p) == 0 {
 			return true
 		}
 		o := int64(off) % (size / 2)
-		n := len(raw)
+		if adopt {
+			o -= o % pageSize
+		}
+		n := len(p)
 		if int(o)+n > size {
 			n = size - int(o)
 		}
-		s.writeAt(raw[:n], o)
-		copy(ref[o:], raw[:n])
+		if adopt {
+			s.adopt(p[:n], o)
+		} else {
+			s.writeAt(p[:n], o)
+		}
+		copy(ref[o:], p[:n])
 		got := make([]byte, size)
 		s.readAt(got, 0)
 		return bytes.Equal(got, ref)
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -160,6 +170,175 @@ func TestIntervalSetQuickVsBitmap(t *testing.T) {
 			if got := s.contains(x, y); got != want {
 				t.Fatalf("iteration %d: contains(%d,%d) = %v, want %v", i, x, y, got, want)
 			}
+		}
+	}
+}
+
+// pattern returns n bytes that differ from page to page and from seed to
+// seed, so a byte landing in the wrong place shows.
+func pattern(seed byte, n int) []byte {
+	p := make([]byte, n)
+	for i := range p {
+		p[i] = seed + byte(i/pageSize)*31 + byte(i%251)
+	}
+	return p
+}
+
+func TestPageStoreAdoptCapsPages(t *testing.T) {
+	s := newPageStore()
+	p := pattern(1, 3*pageSize)
+	s.adopt(p, 0)
+	for idx := int64(0); idx < 3; idx++ {
+		pg := s.pages[idx]
+		if len(pg) != pageSize || cap(pg) != pageSize {
+			t.Fatalf("page %d: len %d cap %d, want %d", idx, len(pg), cap(pg), pageSize)
+		}
+		if &pg[0] != &p[idx*pageSize] {
+			t.Fatalf("page %d is a copy, want the adopted payload", idx)
+		}
+	}
+}
+
+func TestPageStoreAdoptedPagePartialOverwrite(t *testing.T) {
+	s := newPageStore()
+	want := pattern(1, 4*pageSize)
+	s.adopt(append([]byte(nil), want...), 0)
+	// A short write into page 1 and a full adopted write over page 2 must
+	// change only those bytes, not the pages that share their payload.
+	patch := bytes.Repeat([]byte{0xEE}, 100)
+	s.writeAt(patch, pageSize+10)
+	copy(want[pageSize+10:], patch)
+	page2 := pattern(9, pageSize)
+	s.adopt(append([]byte(nil), page2...), 2*pageSize)
+	copy(want[2*pageSize:], page2)
+	got := make([]byte, len(want))
+	s.readAt(got, 0)
+	if !bytes.Equal(got, want) {
+		t.Fatal("overwriting one adopted page disturbed its neighbours")
+	}
+}
+
+func TestWriteAsyncCallerMayReuseBuffer(t *testing.T) {
+	d := newTestDev(t, Config{Size: 1 << 20})
+	for _, off := range []int64{0, 8*pageSize + 100} { // adopted, copied
+		p := pattern(5, 4*pageSize)
+		want := append([]byte(nil), p...)
+		done := d.WriteAsync(off, p)
+		for i := range p {
+			p[i] = 0xFF // scribble before the write completes...
+		}
+		if err := <-done; err != nil {
+			t.Fatal(err)
+		}
+		for i := range p {
+			p[i] = 0x11 // ...and after
+		}
+		got, err := d.Read(off, int64(len(want)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("off %d: stored bytes follow the caller's buffer", off)
+		}
+	}
+}
+
+func TestTornAdoptedWriteKeepsOnlyPrefix(t *testing.T) {
+	const keep = pageSize + 100
+	d := newTestDev(t, Config{Size: 1 << 20, WriteFault: func(off, n int64) (WriteFault, int64) { return WriteTorn, keep }})
+	p := pattern(7, 4*pageSize)
+	if err := d.Write(0, p); !errors.Is(err, ErrInjected) {
+		t.Fatalf("err = %v, want ErrInjected", err)
+	}
+	if !d.IsDurable(0, keep) || d.IsDurable(0, keep+1) {
+		t.Fatalf("durable prefix wrong: [0,%d) %v, [0,%d) %v", keep, d.IsDurable(0, keep), keep+1, d.IsDurable(0, keep+1))
+	}
+	got, err := d.Read(0, int64(len(p)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got[:keep], p[:keep]) {
+		t.Fatal("torn prefix reads back wrong")
+	}
+	if !bytes.Equal(got[keep:], make([]byte, len(p)-keep)) {
+		t.Fatal("bytes beyond the tear are visible")
+	}
+}
+
+// TestUnalignedWriteTakesCopyPath tells the two store paths apart by their
+// allocations: an adopted write allocates no page of its own, a copied one
+// allocates every page it creates.
+func TestUnalignedWriteTakesCopyPath(t *testing.T) {
+	const pages = 16
+	d := newTestDev(t, Config{Size: 1 << 34})
+	p := make([]byte, pages*pageSize)
+	var off int64
+	allocs := func(skew int64) float64 {
+		return testing.AllocsPerRun(20, func() {
+			off += (pages + 2) * pageSize // fresh pages every run
+			if err := d.Write(off+skew, p); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if a := allocs(0); a >= pages {
+		t.Errorf("aligned %d-page write: %.0f allocs, want < %d (payload adopted)", pages, a, pages)
+	}
+	if a := allocs(100); a < pages {
+		t.Errorf("unaligned %d-page write: %.0f allocs, want >= %d (one per copied page)", pages, a, pages)
+	}
+}
+
+// TestDeviceWritesVsByteMap runs random batches of adopted and copied
+// writes through the device, scribbling over each caller buffer as soon as
+// WriteAsync returns, against a flat byte-map oracle.
+func TestDeviceWritesVsByteMap(t *testing.T) {
+	const size = 64 * pageSize
+	d := newTestDev(t, Config{Size: size})
+	ref := make([]byte, size)
+	rng := rand.New(rand.NewSource(11))
+	for batch := 0; batch < 200; batch++ {
+		// Writes within a batch are disjoint: the elevator may complete
+		// them in any order.
+		taken := make([]bool, size/pageSize)
+		var dones []<-chan error
+		for w := 0; w < 8; w++ {
+			n := 1 + rng.Intn(4*pageSize)
+			off := int64(rng.Intn(size/pageSize-4)) * pageSize
+			if rng.Intn(2) == 0 {
+				n = (n + pageSize - 1) / pageSize * pageSize // page-aligned: adopted
+			} else {
+				off += int64(rng.Intn(pageSize))
+			}
+			first, last := off/pageSize, (off+int64(n)-1)/pageSize
+			free := true
+			for pg := first; pg <= last; pg++ {
+				free = free && !taken[pg]
+			}
+			if !free {
+				continue
+			}
+			for pg := first; pg <= last; pg++ {
+				taken[pg] = true
+			}
+			p := pattern(byte(batch*8+w), n)
+			copy(ref[off:], p)
+			dones = append(dones, d.WriteAsync(off, p))
+			for i := range p {
+				p[i] ^= 0xFF
+			}
+		}
+		for _, done := range dones {
+			if err := <-done; err != nil {
+				t.Fatal(err)
+			}
+		}
+		got, err := d.Read(0, size)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, ref) {
+			t.Fatalf("batch %d: device diverges from the byte map", batch)
 		}
 	}
 }

@@ -63,7 +63,10 @@ type BlockDevice interface {
 	// WriteAsync is writepage: it submits the write and returns a channel
 	// that yields once the data is durable.
 	WriteAsync(off int64, p []byte) <-chan error
-	// Read blocks until n bytes at off have been read.
+	// Read blocks until n bytes at off have been read. The caller owns
+	// the returned buffer: the implementation must not keep, reuse or
+	// alias it, because read-ahead installs sub-slices of it as cached
+	// pages.
 	Read(off, n int64) ([]byte, error)
 }
 

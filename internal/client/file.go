@@ -114,20 +114,34 @@ func (fs *fileState) insertExtentLocked(e meta.Extent) {
 // covered page is cached only when the uncovered remainder lies beyond the
 // current end of file — those bytes are genuinely zero, so no data is
 // fabricated. Other uncached partial pages are written through: caching them
-// would invent zeros over real on-disk data.
+// would invent zeros over real on-disk data. The new pages of one write are
+// carved from a single slab, sized exactly to them.
 func (fs *fileState) cachePagesLocked(p []byte, off int64) {
 	end := off + int64(len(p))
-	for pg := off / PageSize; pg*PageSize < end; pg++ {
+	first, last := off/PageSize, (end-1)/PageSize
+	// fresh reports whether uncached page pg gets cached by this write:
+	// fully covered, or covered from its start up to past the end of file.
+	fresh := func(pg int64) bool {
+		pstart, pend := pg*PageSize, (pg+1)*PageSize
+		cend := min64(pend, end)
+		return off <= pstart && (cend == pend || cend >= fs.size)
+	}
+	var n int
+	for pg := first; pg <= last; pg++ {
+		if fs.pages[pg] == nil && fresh(pg) {
+			n++
+		}
+	}
+	slab := make([]byte, n*PageSize)
+	for pg := first; pg <= last; pg++ {
 		pstart, pend := pg*PageSize, (pg+1)*PageSize
 		cstart, cend := max64(pstart, off), min64(pend, end)
 		page := fs.pages[pg]
 		if page == nil {
-			full := cstart == pstart && cend == pend
-			tail := cstart == pstart && cend >= fs.size // rest is past EOF
-			if !full && !tail {
+			if !fresh(pg) {
 				continue // partial mid-file, uncached: write through
 			}
-			page = make([]byte, PageSize)
+			page, slab = slab[:PageSize:PageSize], slab[PageSize:]
 			fs.pages[pg] = page
 		}
 		copy(page[cstart-pstart:cend-pstart], p[cstart-off:cend-off])

@@ -1,8 +1,10 @@
 package client
 
 import (
+	"bytes"
 	"math/rand"
 	"testing"
+	"unsafe"
 
 	"redbud/internal/meta"
 	"redbud/internal/proto"
@@ -142,5 +144,93 @@ func TestFinishCommitMatchesFullExtentIdentity(t *testing.T) {
 	}
 	if !fs.dirtyMeta {
 		t.Error("dirtyMeta cleared while an unsent extent is outstanding")
+	}
+}
+
+// pagePattern returns n bytes that differ from page to page, so a byte
+// landing on the wrong page shows.
+func pagePattern(n int, seed byte) []byte {
+	p := make([]byte, n)
+	for i := range p {
+		p[i] = seed + byte(i/PageSize)*31 + byte(i%251)
+	}
+	return p
+}
+
+func TestCachePagesShareOneSlab(t *testing.T) {
+	fs := newFileState(1, 0)
+	want := pagePattern(3*PageSize+100, 1) // the tail page lies past EOF
+	fs.cachePagesLocked(want, 0)
+	fs.size = int64(len(want))
+	base := unsafe.SliceData(fs.pages[0])
+	for pg := int64(0); pg < 4; pg++ {
+		page := fs.pages[pg]
+		if len(page) != PageSize || cap(page) != PageSize {
+			t.Fatalf("page %d: len %d cap %d, want %d", pg, len(page), cap(page), PageSize)
+		}
+		if unsafe.SliceData(page) != (*byte)(unsafe.Add(unsafe.Pointer(base), pg*PageSize)) {
+			t.Fatalf("page %d is not carved from the write's slab", pg)
+		}
+	}
+	// Overwrite page 1 whole and page 2 in part: the slab neighbours keep
+	// their bytes.
+	one := pagePattern(PageSize, 9)
+	fs.cachePagesLocked(one, PageSize)
+	copy(want[PageSize:], one)
+	fs.cachePagesLocked([]byte{0xEE, 0xEE}, 2*PageSize+5)
+	copy(want[2*PageSize+5:], []byte{0xEE, 0xEE})
+	for pg := int64(0); pg < 4; pg++ {
+		lo, hi := pg*PageSize, min64((pg+1)*PageSize, int64(len(want)))
+		if !bytes.Equal(fs.pages[pg][:hi-lo], want[lo:hi]) {
+			t.Fatalf("page %d corrupted by an overwrite of its slab neighbour", pg)
+		}
+	}
+	if !bytes.Equal(fs.pages[3][100:], make([]byte, PageSize-100)) {
+		t.Fatal("tail page past EOF is not zero")
+	}
+}
+
+// TestCachePagesVsByteMap runs random writes through the page cache and
+// checks every cached page against a flat byte-map oracle.
+func TestCachePagesVsByteMap(t *testing.T) {
+	const space = 32 * PageSize
+	rng := rand.New(rand.NewSource(5))
+	fs := newFileState(1, 0)
+	ref := make([]byte, space)
+	for i := 0; i < 2000; i++ {
+		n := 1 + rng.Intn(5*PageSize)
+		off := int64(rng.Intn(space - n))
+		p := pagePattern(n, byte(i))
+		fs.cachePagesLocked(p, off)
+		copy(ref[off:], p)
+		for j := range p {
+			p[j] ^= 0xFF // the cache must hold its own copy
+		}
+		if end := off + int64(n); end > fs.size {
+			fs.size = end
+		}
+		for pg, page := range fs.pages {
+			lo := pg * PageSize
+			if !bytes.Equal(page, ref[lo:lo+PageSize]) {
+				t.Fatalf("write %d: cached page %d diverges from the byte map", i, pg)
+			}
+		}
+	}
+}
+
+// BenchmarkCachePages1M measures filling the page cache from one 1 MiB
+// write into an empty cache. Its allocs/op is gated in CI: one slab per
+// write, however many pages it covers.
+func BenchmarkCachePages1M(b *testing.B) {
+	const size = 1 << 20
+	fs := newFileState(1, 0)
+	buf := make([]byte, size)
+	fs.cachePagesLocked(buf, 0) // size the map once
+	b.SetBytes(size)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		clear(fs.pages) // drop-behind, keeping the map's buckets
+		fs.cachePagesLocked(buf, 0)
 	}
 }

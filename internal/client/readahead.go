@@ -82,14 +82,14 @@ func (c *Client) maybeReadAhead(fs *fileState, off, n int64) {
 				fs.mu.Unlock()
 				return
 			}
-			// Install only full, absent pages.
+			// Install only full, absent pages, as capacity-capped
+			// sub-slices of the read buffer, which the caller owns.
 			for pg := (ft.fileOff + PageSize - 1) / PageSize; (pg+1)*PageSize <= ft.fileOff+ft.ln; pg++ {
 				if fs.pages[pg] != nil {
 					continue
 				}
-				page := make([]byte, PageSize)
-				copy(page, data[pg*PageSize-ft.fileOff:])
-				fs.pages[pg] = page
+				a := pg*PageSize - ft.fileOff
+				fs.pages[pg] = data[a : a+PageSize : a+PageSize]
 				c.ra.pages.Inc()
 			}
 			fs.mu.Unlock()

@@ -156,3 +156,38 @@ func TestReadAheadDisabledByDefault(t *testing.T) {
 		t.Fatalf("read-ahead fired while disabled: %d", trig)
 	}
 }
+
+func TestReadAheadPagesAreIndependent(t *testing.T) {
+	// Prefetched pages share the device read buffer: a write into one of
+	// them must leave its neighbours alone.
+	tc := newCluster(t)
+	w := tc.client(SyncCommit, 0)
+	data := pagePattern(256<<10, 3)
+	writeFile(t, w, "/ra.bin", data)
+	w.Close()
+
+	r := raClient(tc, 128<<10)
+	defer r.Close()
+	f, err := r.Open("/ra.bin")
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]byte, 32<<10)
+	if _, err := f.ReadAt(buf, 0); err != nil {
+		t.Fatal(err)
+	}
+	waitRA(t, r, 32) // the whole 128 KiB window
+	patch := bytes.Repeat([]byte{0xEE}, 100)
+	off := int64(64<<10) + 10 // inside the prefetched window
+	if _, err := f.WriteAt(patch, off); err != nil {
+		t.Fatal(err)
+	}
+	copy(data[off:], patch)
+	got := make([]byte, 128<<10)
+	if _, err := f.ReadAt(got, 32<<10); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, data[32<<10:160<<10]) {
+		t.Fatal("a write into one prefetched page disturbed its neighbours")
+	}
+}

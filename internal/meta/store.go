@@ -3,6 +3,7 @@ package meta
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -114,29 +115,30 @@ func addIval(list []ival, off, end int64) []ival {
 		}
 		j++
 	}
-	out := make([]ival, 0, len(list)-(j-i)+1)
-	out = append(out, list[:i]...)
-	out = append(out, ival{off, end})
-	out = append(out, list[j:]...)
-	return out
+	// Splice in place; the backing array grows only when the list does.
+	return slices.Replace(list, i, j, ival{off, end})
 }
 
-// gaps returns the sub-ranges of [off, end) not covered by used.
-func gaps(off, end int64, used []ival) []ival {
+func (v ival) bounds() (int64, int64) { return v.off, v.end }
+
+// gaps returns the sub-ranges of [off, end) not covered by used, which must
+// be sorted by start (an ival list, or an inode's extents in file space).
+func gaps[T interface{ bounds() (int64, int64) }](off, end int64, used []T) []ival {
 	var out []ival
 	cur := off
 	for _, u := range used {
-		if u.end <= cur {
+		uoff, uend := u.bounds()
+		if uend <= cur {
 			continue
 		}
-		if u.off >= end {
+		if uoff >= end {
 			break
 		}
-		if u.off > cur {
-			out = append(out, ival{cur, u.off})
+		if uoff > cur {
+			out = append(out, ival{cur, uoff})
 		}
-		if u.end > cur {
-			cur = u.end
+		if uend > cur {
+			cur = uend
 		}
 	}
 	if cur < end {
@@ -534,13 +536,9 @@ func (s *Store) AllocLayout(owner string, id FileID, off, n int64) (Layout, erro
 	// Uncovered sub-ranges of [off, off+n).
 	st := s.stripe(id)
 	st.RLock()
-	var used []ival
-	for _, e := range ino.extents {
-		used = addIval(used, e.FileOff, e.End())
-	}
+	holes := gaps(off, off+n, ino.extents)
 	st.RUnlock()
 	s.ns.RUnlock()
-	holes := gaps(off, off+n, used)
 
 	// Allocate outside the locks (AGs have their own locks).
 	var newExts []Extent

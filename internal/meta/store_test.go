@@ -312,7 +312,7 @@ func TestIvalHelpers(t *testing.T) {
 	if g := gaps(10, 40, l); len(g) != 0 {
 		t.Fatalf("full coverage gaps = %+v", g)
 	}
-	if g := gaps(0, 5, nil); len(g) != 1 || g[0] != (ival{0, 5}) {
+	if g := gaps[ival](0, 5, nil); len(g) != 1 || g[0] != (ival{0, 5}) {
 		t.Fatalf("empty-used gaps = %+v", g)
 	}
 }

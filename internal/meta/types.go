@@ -51,6 +51,8 @@ type Extent struct {
 // End returns the first file offset past the extent.
 func (e Extent) End() int64 { return e.FileOff + e.Len }
 
+func (e Extent) bounds() (int64, int64) { return e.FileOff, e.End() }
+
 // MarshalWire encodes the extent.
 func (e Extent) MarshalWire(b *wire.Buffer) {
 	b.PutI64(e.FileOff)
