@@ -177,7 +177,7 @@ func New(cfg Config) *Server {
 	s := &Server{store: cfg.Store, clk: cfg.Clock, cfg: cfg, track: track, commitLat: stats.NewLatencyHistogram()}
 	s.dedup.owners = make(map[string]*ownerDedup)
 	s.rpc = rpc.NewServer(rpc.ServerConfig{
-		Handler:             s.handle,
+		Handler:             s.dispatch,
 		Daemons:             cfg.Daemons,
 		OpCost:              cfg.OpCost,
 		FrameCost:           cfg.FrameCost,
@@ -302,7 +302,94 @@ func (s *Server) nsSpan(name string, tc proto.TraceCtx, start time.Time) {
 	})
 }
 
-// handle dispatches one decoded RPC operation.
+// dispatch begins one decoded RPC operation. A commit returns deferred: its
+// durability wait runs in pendingCommit.Finish, which the rpc server calls
+// only after every other sub-op of the frame has begun, so a compound's
+// commits share journal batches. Every other operation completes here.
+func (s *Server) dispatch(op uint16, body []byte) ([]byte, rpc.Deferred, error) {
+	if op == proto.OpCommit {
+		return s.beginCommit(body)
+	}
+	resp, err := s.handle(op, body)
+	return resp, nil, err
+}
+
+// pendingCommit is one OpCommit between its begin (apply and journal append)
+// and its finish (durability wait and reply).
+type pendingCommit struct {
+	s      *Server
+	req    proto.CommitReq
+	tc     obs.SpanContext
+	start  time.Time
+	commit meta.PendingCommit
+}
+
+// beginCommit decodes, dedups, checks and applies one commit, appending its
+// journal record. A retransmitted commit is answered from the dedup table and
+// a rejected one fails here; either way nothing is deferred.
+func (s *Server) beginCommit(body []byte) ([]byte, rpc.Deferred, error) {
+	c := &pendingCommit{s: s}
+	req := &c.req
+	if err := wire.Decode(body, req); err != nil {
+		return nil, nil, err
+	}
+	s.touch(req.Owner)
+	if req.CommitID != 0 {
+		if cached, ok := s.dedup.lookup(req.Owner, req.CommitID); ok {
+			s.dedupHits.Add(1)
+			return cached, nil, nil
+		}
+	}
+	if s.cfg.CommitCheck != nil {
+		if err := s.cfg.CommitCheck(req.Extents); err != nil {
+			return nil, nil, fmt.Errorf("mds: ordered-write violation: %w", err)
+		}
+	}
+	c.start = s.clk.Now()
+	// A v4 trace context links this handler's span (and the store's
+	// lockwait/apply/journal children) under the client's commit span.
+	if req.Trace.TraceID != 0 {
+		c.tc = obs.SpanContext{TraceID: req.Trace.TraceID, SpanID: obs.NewSpanID(req.Trace.SpanID, obs.SpanMDSCommit)}
+	}
+	var err error
+	c.commit, err = s.store.BeginCommit(req.Owner, req.File, req.Extents, req.Size, req.MTime, req.CommitID, c.tc)
+	if err != nil {
+		return nil, nil, err
+	}
+	return nil, c, nil
+}
+
+// Finish waits for the commit's journal record to be durable, then encodes
+// the reply and records the commit as done.
+func (c *pendingCommit) Finish() ([]byte, error) {
+	s, req := c.s, &c.req
+	if err := c.commit.Wait(); err != nil {
+		return nil, err
+	}
+	a, err := s.store.GetAttr(req.File)
+	if err != nil {
+		return nil, err
+	}
+	resp := proto.CommitResp{Size: a.Size}
+	out := wire.Encode(&resp)
+	end := s.clk.Now()
+	s.commitLat.ObserveDuration(end.Sub(c.start))
+	if s.cfg.Tracer.Enabled() && req.CommitID != 0 {
+		s.cfg.Tracer.RecordSpan(obs.Span{
+			Track: s.track, Name: obs.SpanMDSCommit, CommitID: req.CommitID,
+			TraceID: req.Trace.TraceID, SpanID: c.tc.SpanID, Parent: req.Trace.SpanID,
+			Start: c.start, End: end,
+		})
+	}
+	if req.CommitID != 0 {
+		// Only durable, successful commits are remembered: a failed commit
+		// may legitimately succeed on retry, so it must reach the store.
+		s.dedup.record(req.Owner, req.CommitID, out)
+	}
+	return out, nil
+}
+
+// handle runs one decoded RPC operation other than a commit to completion.
 func (s *Server) handle(op uint16, body []byte) ([]byte, error) {
 	switch op {
 	case proto.OpPing:
@@ -402,55 +489,6 @@ func (s *Server) handle(op uint16, body []byte) ([]byte, error) {
 		}
 		resp := proto.LayoutResp{File: lay.File, Size: size, Extents: lay.Extents}
 		return wire.Encode(&resp), nil
-
-	case proto.OpCommit:
-		var req proto.CommitReq
-		if err := wire.Decode(body, &req); err != nil {
-			return nil, err
-		}
-		s.touch(req.Owner)
-		if req.CommitID != 0 {
-			if cached, ok := s.dedup.lookup(req.Owner, req.CommitID); ok {
-				s.dedupHits.Add(1)
-				return cached, nil
-			}
-		}
-		if s.cfg.CommitCheck != nil {
-			if err := s.cfg.CommitCheck(req.Extents); err != nil {
-				return nil, fmt.Errorf("mds: ordered-write violation: %w", err)
-			}
-		}
-		start := s.clk.Now()
-		// A v4 trace context links this handler's span (and the store's
-		// lockwait/apply/journal children) under the client's commit span.
-		var tc obs.SpanContext
-		if req.Trace.TraceID != 0 {
-			tc = obs.SpanContext{TraceID: req.Trace.TraceID, SpanID: obs.NewSpanID(req.Trace.SpanID, obs.SpanMDSCommit)}
-		}
-		if err := s.store.CommitTracedCtx(req.Owner, req.File, req.Extents, req.Size, req.MTime, req.CommitID, tc); err != nil {
-			return nil, err
-		}
-		a, err := s.store.GetAttr(req.File)
-		if err != nil {
-			return nil, err
-		}
-		resp := proto.CommitResp{Size: a.Size}
-		out := wire.Encode(&resp)
-		end := s.clk.Now()
-		s.commitLat.ObserveDuration(end.Sub(start))
-		if s.cfg.Tracer.Enabled() && req.CommitID != 0 {
-			s.cfg.Tracer.RecordSpan(obs.Span{
-				Track: s.track, Name: obs.SpanMDSCommit, CommitID: req.CommitID,
-				TraceID: req.Trace.TraceID, SpanID: tc.SpanID, Parent: req.Trace.SpanID,
-				Start: start, End: end,
-			})
-		}
-		if req.CommitID != 0 {
-			// Only successful commits are remembered: a failed commit may
-			// legitimately succeed on retry, so it must reach the store.
-			s.dedup.record(req.Owner, req.CommitID, out)
-		}
-		return out, nil
 
 	case proto.OpDelegate:
 		var req proto.DelegateReq

@@ -623,67 +623,91 @@ func insertExtent(list []Extent, e Extent) []Extent {
 // so commits to different files proceed in parallel and their journal
 // records coalesce in the group-commit batcher.
 func (s *Store) Commit(owner string, id FileID, exts []Extent, size int64, mtime time.Time) error {
-	return s.CommitTraced(owner, id, exts, size, mtime, 0)
+	p, err := s.BeginCommit(owner, id, exts, size, mtime, 0, obs.SpanContext{})
+	if err != nil {
+		return err
+	}
+	return p.Wait()
 }
 
-// CommitTraced is Commit carrying the client-assigned commit ID for span
-// correlation. The span timeline splits the call into lock wait (namespace +
-// stripe acquisition), apply (mutation under the stripe lock, including the
-// journal append handoff), and journal (the group-commit durability wait).
-// All spans are recorded after the locks are dropped so tracing can never
-// extend a lock hold.
-func (s *Store) CommitTraced(owner string, id FileID, exts []Extent, size int64, mtime time.Time, commitID uint64) error {
-	return s.CommitTracedCtx(owner, id, exts, size, mtime, commitID, obs.SpanContext{})
+// PendingCommit is a commit that is applied and appended to the journal but
+// whose record may not be durable yet. Its owner must call Wait exactly once,
+// and must not acknowledge the commit before Wait returns nil (write-ahead
+// rule).
+type PendingCommit struct {
+	s       *Store
+	durable func() error
+	// Span state, set only when the commit is traced: the timeline splits
+	// into lock wait (namespace + stripe acquisition), apply (mutation under
+	// the stripe lock, up to the journal append) and journal (append →
+	// durable), so the three spans tile the commit whenever Wait is called.
+	commitID                      uint64
+	tc                            obs.SpanContext
+	lockStart, applyStart, jStart time.Time
 }
 
-// CommitTracedCtx is CommitTraced carrying a propagated trace context: when
-// tc is non-zero the three store spans link under tc.SpanID (the MDS commit
-// handler span), stitching the store into the client's distributed trace.
-func (s *Store) CommitTracedCtx(owner string, id FileID, exts []Extent, size int64, mtime time.Time, commitID uint64, tc obs.SpanContext) error {
-	traced := s.cfg.Tracer.Enabled() && commitID != 0
-	var lockStart, applyStart time.Time
-	if traced {
-		lockStart = s.clk.Now()
+// BeginCommit is the first half of Commit: it validates and applies the
+// commit and appends its journal record, returning before the record is
+// durable. Splitting the durability wait off lets one MDS daemon begin every
+// commit of a compound frame before waiting on any, so their records share
+// group-commit batches. A non-zero commitID traces the commit; a non-zero tc
+// links the store spans under tc.SpanID (the MDS commit handler span),
+// stitching the store into the client's distributed trace. All spans are
+// recorded by Wait, after the locks are dropped, so tracing can never extend
+// a lock hold.
+func (s *Store) BeginCommit(owner string, id FileID, exts []Extent, size int64, mtime time.Time, commitID uint64, tc obs.SpanContext) (PendingCommit, error) {
+	p := PendingCommit{s: s}
+	if s.cfg.Tracer.Enabled() && commitID != 0 {
+		p.commitID, p.tc, p.lockStart = commitID, tc, s.clk.Now()
 	}
 	s.ns.RLock()
 	ino, ok := s.inodes[id]
 	if !ok {
 		s.ns.RUnlock()
-		return fmt.Errorf("%w: inode %d", ErrNotFound, id)
+		return PendingCommit{}, fmt.Errorf("%w: inode %d", ErrNotFound, id)
 	}
 	if ino.typ != TypeFile {
 		s.ns.RUnlock()
-		return fmt.Errorf("%w: inode %d", ErrIsDir, id)
+		return PendingCommit{}, fmt.Errorf("%w: inode %d", ErrIsDir, id)
 	}
 	st := s.stripe(id)
 	st.Lock()
-	if traced {
-		applyStart = s.clk.Now()
+	if p.commitID != 0 {
+		p.applyStart = s.clk.Now()
 	}
 	if err := s.applyCommit(ino, owner, exts, size, mtime, true); err != nil {
 		st.Unlock()
 		s.ns.RUnlock()
-		return err
+		return PendingCommit{}, err
 	}
 	rec := &Record{Type: RecCommit, File: id, Owner: owner, Size: size, MTime: mtime, Extents: exts}
-	wait := s.journalAppend(rec)
+	p.durable = s.journalAppend(rec)
 	st.Unlock()
 	s.ns.RUnlock()
-	if !traced {
-		return wait()
+	if p.commitID != 0 {
+		p.jStart = s.clk.Now()
 	}
-	jStart := s.clk.Now()
-	err := wait()
+	return p, nil
+}
+
+// Wait blocks until the commit's journal record is durable and returns the
+// journal's verdict.
+func (p *PendingCommit) Wait() error {
+	err := p.durable()
+	if p.commitID == 0 {
+		return err
+	}
+	s, tc := p.s, p.tc
 	end := s.clk.Now()
-	s.cfg.Tracer.RecordSpan(obs.Span{Track: s.track, Name: obs.SpanMDSLockWait, CommitID: commitID,
+	s.cfg.Tracer.RecordSpan(obs.Span{Track: s.track, Name: obs.SpanMDSLockWait, CommitID: p.commitID,
 		TraceID: tc.TraceID, SpanID: childSpan(tc, obs.SpanMDSLockWait), Parent: tc.SpanID,
-		Start: lockStart, End: applyStart})
-	s.cfg.Tracer.RecordSpan(obs.Span{Track: s.track, Name: obs.SpanMDSApply, CommitID: commitID,
+		Start: p.lockStart, End: p.applyStart})
+	s.cfg.Tracer.RecordSpan(obs.Span{Track: s.track, Name: obs.SpanMDSApply, CommitID: p.commitID,
 		TraceID: tc.TraceID, SpanID: childSpan(tc, obs.SpanMDSApply), Parent: tc.SpanID,
-		Start: applyStart, End: jStart})
-	s.cfg.Tracer.RecordSpan(obs.Span{Track: s.track, Name: obs.SpanMDSJournal, CommitID: commitID,
+		Start: p.applyStart, End: p.jStart})
+	s.cfg.Tracer.RecordSpan(obs.Span{Track: s.track, Name: obs.SpanMDSJournal, CommitID: p.commitID,
 		TraceID: tc.TraceID, SpanID: childSpan(tc, obs.SpanMDSJournal), Parent: tc.SpanID,
-		Start: jStart, End: end})
+		Start: p.jStart, End: end})
 	return err
 }
 

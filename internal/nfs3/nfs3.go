@@ -100,7 +100,7 @@ func NewServer(cfg ServerConfig) *Server {
 		dirents: map[uint64]map[string]uint64{1: {}},
 		nextID:  2,
 	}
-	s.rpc = rpc.NewServer(rpc.ServerConfig{Handler: s.handle, Daemons: cfg.Daemons, OpCost: cfg.OpCost, Clock: cfg.Clock})
+	s.rpc = rpc.NewServer(rpc.ServerConfig{Handler: rpc.Sync(s.handle), Daemons: cfg.Daemons, OpCost: cfg.OpCost, Clock: cfg.Clock})
 	return s
 }
 

@@ -230,7 +230,7 @@ func NewMetaServer(clk clock.Clock, daemons int, opCost time.Duration) *MetaServ
 		dirents: map[uint64]map[string]uint64{1: {}},
 		nextID:  2,
 	}
-	s.rpc = rpc.NewServer(rpc.ServerConfig{Handler: s.handle, Daemons: daemons, OpCost: opCost, Clock: clk})
+	s.rpc = rpc.NewServer(rpc.ServerConfig{Handler: rpc.Sync(s.handle), Daemons: daemons, OpCost: opCost, Clock: clk})
 	return s
 }
 
@@ -390,7 +390,7 @@ func NewDataServer(disk *blockdev.Device, clk clock.Clock, daemons int) *DataSer
 		ag:     alloc.NewGroup(disk.ID(), 0, disk.Size()),
 		chunks: make(map[uint64]map[int64]alloc.Span),
 	}
-	s.rpc = rpc.NewServer(rpc.ServerConfig{Handler: s.handle, Daemons: daemons, Clock: clk})
+	s.rpc = rpc.NewServer(rpc.ServerConfig{Handler: rpc.Sync(s.handle), Daemons: daemons, Clock: clk})
 	return s
 }
 

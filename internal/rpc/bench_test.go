@@ -9,7 +9,7 @@ import (
 )
 
 func benchPair(b *testing.B, daemons int) *Client {
-	return benchPairHandler(b, daemons, testHandler)
+	return benchPairHandler(b, daemons, Sync(testHandler))
 }
 
 func benchPairHandler(b *testing.B, daemons int, h Handler) *Client {
@@ -77,7 +77,7 @@ func BenchmarkRPCAlloc(b *testing.B) {
 // rawEcho returns the request body without copying; process() documents that
 // the payload may alias the request frame, so this is the leanest legal
 // handler and isolates the framing layer's own allocation behavior.
-func rawEcho(_ uint16, body []byte) ([]byte, error) { return body, nil }
+func rawEcho(_ uint16, body []byte) ([]byte, Deferred, error) { return body, nil, nil }
 
 // BenchmarkWireRoundTrip measures the steady-state frame send/recv cycle —
 // pooled header encode, gather-write, transport copy into a pooled frame,
@@ -106,29 +106,28 @@ func BenchmarkWireRoundTrip(b *testing.B) {
 // framing included). A small epsilon absorbs one-off runtime allocations
 // (sync.Pool victim-cache refills after a GC).
 func TestWireRoundTripZeroAlloc(t *testing.T) {
+	assertZeroAllocRoundTrip(t, rawEcho)
+}
+
+// echoLater is a Deferred replying with a fixed 128-byte payload. Being
+// zero-size, it boxes into the interface without allocating.
+type echoLater struct{}
+
+var laterReply = make([]byte, 128)
+
+func (echoLater) Finish() ([]byte, error) { return laterReply, nil }
+
+// TestDeferredRoundTripZeroAlloc shows a single-op frame whose handler
+// defers its completion costs the server no allocation of its own.
+func TestDeferredRoundTripZeroAlloc(t *testing.T) {
+	assertZeroAllocRoundTrip(t, func(uint16, []byte) ([]byte, Deferred, error) { return nil, echoLater{}, nil })
+}
+
+func assertZeroAllocRoundTrip(t *testing.T, h Handler) {
 	if raceEnabled {
 		t.Skip("race detector instrumentation allocates")
 	}
-	n := netsim.NewNetwork(clock.Real(1))
-	n.AddHost("c", netsim.Instant())
-	n.AddHost("s", netsim.Instant())
-	l, err := n.Listen("s")
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := NewServer(ServerConfig{Handler: rawEcho, Daemons: 2})
-	go srv.Serve(l)
-	conn, err := n.Dial("c", "s")
-	if err != nil {
-		t.Fatal(err)
-	}
-	cli := NewClient(conn, clock.Real(1))
-	defer func() {
-		cli.Close()
-		srv.Close()
-		l.Close()
-	}()
-
+	cli, _ := newPair(t, ServerConfig{Handler: h, Daemons: 2})
 	payload := make([]byte, 128)
 	roundTrip := func() {
 		p, frame, err := cli.call(opEcho, payload)

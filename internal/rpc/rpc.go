@@ -59,7 +59,28 @@ func (e *RemoteError) Error() string {
 
 // Handler processes one operation and returns the reply payload. Handlers
 // run on server daemon threads and may block (e.g. on the metadata disk).
-type Handler func(op uint16, body []byte) ([]byte, error)
+//
+// An operation that ends in a wait its neighbours can share (an MDS commit's
+// journal durability wait) may instead be returned half done, as a non-nil
+// Deferred with a nil reply and error. The server finishes it right away in a
+// single-op frame; in a compound it first begins every sub-op, then finishes
+// the deferred ones in order, and replies after the last.
+type Handler func(op uint16, body []byte) ([]byte, Deferred, error)
+
+// Deferred is the tail of an operation its Handler began but did not finish.
+type Deferred interface {
+	// Finish completes the operation and returns its reply. The server
+	// calls it exactly once, on the daemon that began the operation.
+	Finish() ([]byte, error)
+}
+
+// Sync adapts a handler whose operations always complete in place.
+func Sync(h func(op uint16, body []byte) ([]byte, error)) Handler {
+	return func(op uint16, body []byte) ([]byte, Deferred, error) {
+		reply, err := h(op, body)
+		return reply, nil, err
+	}
+}
 
 // ---------------------------------------------------------------------------
 // Compound encoding
@@ -358,18 +379,38 @@ func (s *Server) process(c call) {
 		if err != nil {
 			status, errMsg = 1, err.Error()
 		} else {
-			results := make([]SubResult, 0, len(ops))
-			for _, o := range ops {
+			// Begin every sub-op before finishing any, so deferred waits
+			// overlap: k commits share one or two journal batches instead
+			// of paying k in series. Finishing in order before the reply
+			// keeps each sub-op's result, and no reply precedes the last
+			// wait.
+			results := make([]SubResult, len(ops))
+			var deferred []Deferred
+			for i, o := range ops {
 				s.execCost()
-				body, err := s.cfg.Handler(o.Op, o.Body)
+				body, d, err := s.cfg.Handler(o.Op, o.Body)
 				s.subOps.Inc()
-				results = append(results, SubResult{Body: body, Err: err})
+				results[i] = SubResult{Body: body, Err: err}
+				if d != nil {
+					if deferred == nil {
+						deferred = make([]Deferred, len(ops))
+					}
+					deferred[i] = d
+				}
+			}
+			for i, d := range deferred {
+				if d != nil {
+					results[i].Body, results[i].Err = d.Finish()
+				}
 			}
 			payload = encodeCompoundReply(results)
 		}
 	} else {
 		s.execCost()
-		body, err := s.cfg.Handler(c.op, c.body)
+		body, d, err := s.cfg.Handler(c.op, c.body)
+		if d != nil {
+			body, err = d.Finish()
+		}
 		s.subOps.Inc()
 		if err != nil {
 			status, errMsg = 1, err.Error()

@@ -49,7 +49,7 @@ func testHandler(op uint16, body []byte) ([]byte, error) {
 func newPair(t *testing.T, cfg ServerConfig) (*Client, *Server) {
 	t.Helper()
 	if cfg.Handler == nil {
-		cfg.Handler = testHandler
+		cfg.Handler = Sync(testHandler)
 	}
 	n := netsim.NewNetwork(clock.Real(1))
 	n.AddHost("client", netsim.Instant())
@@ -224,7 +224,7 @@ func TestServerLoadPiggyback(t *testing.T) {
 }
 
 func TestServerLoadUnderPressure(t *testing.T) {
-	srv := NewServer(ServerConfig{Handler: testHandler, Daemons: 1, QueueCap: 256})
+	srv := NewServer(ServerConfig{Handler: Sync(testHandler), Daemons: 1, QueueCap: 256})
 	defer srv.Close()
 	// Saturate the single daemon directly through the queue bookkeeping:
 	// load reflects inflight + queued work.
@@ -311,7 +311,7 @@ func TestClientCloseFailsPending(t *testing.T) {
 
 func TestOpCostChargesTime(t *testing.T) {
 	mc := clock.NewManual()
-	srv := NewServer(ServerConfig{Handler: testHandler, Daemons: 1, OpCost: 10 * time.Millisecond, Clock: mc})
+	srv := NewServer(ServerConfig{Handler: Sync(testHandler), Daemons: 1, OpCost: 10 * time.Millisecond, Clock: mc})
 	defer srv.Close()
 	defer mc.Advance(time.Hour)
 	cliSide, srvSide := localPair(t)
@@ -340,7 +340,7 @@ func TestOpCostChargesTime(t *testing.T) {
 }
 
 func TestContentionInflatesOpCost(t *testing.T) {
-	base := ServerConfig{Handler: testHandler, OpCost: time.Millisecond, ContentionPerDaemon: 0.1}
+	base := ServerConfig{Handler: Sync(testHandler), OpCost: time.Millisecond, ContentionPerDaemon: 0.1}
 	s1 := NewServer(withDaemons(base, 1))
 	s16 := NewServer(withDaemons(base, 16))
 	defer s1.Close()

@@ -80,7 +80,7 @@ func NewServer(dev *blockdev.Device, clk clock.Clock, daemons int) *Server {
 		daemons = 16
 	}
 	s := &Server{dev: dev}
-	s.rpc = rpc.NewServer(rpc.ServerConfig{Handler: s.handle, Daemons: daemons, Clock: clk})
+	s.rpc = rpc.NewServer(rpc.ServerConfig{Handler: rpc.Sync(s.handle), Daemons: daemons, Clock: clk})
 	return s
 }
 
