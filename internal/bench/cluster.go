@@ -8,7 +8,6 @@ package bench
 
 import (
 	"fmt"
-	"io"
 	"sync"
 	"time"
 
@@ -224,13 +223,6 @@ func (c *Cluster) DeviceStats() blockdev.Stats {
 		total.BusyTime += s.BusyTime
 	}
 	return total
-}
-
-// ResetDeviceStats zeroes the data-device counters (after prefill).
-func (c *Cluster) ResetDeviceStats() {
-	for _, d := range c.Devices {
-		d.ResetStats()
-	}
 }
 
 // RPCs sums client-side RPC counts (network-traffic metric).
@@ -475,17 +467,6 @@ func buildRedbud(sys System, opt Options) *Cluster {
 	sources = append(sources, agg.RegistrySource("clients", clientsReg))
 	c.Collector = agg.New(sources...)
 	return c
-}
-
-// StitchedTrace writes the cluster's span ring as one multi-process Chrome
-// trace: one trace process per track prefix (each MDS shard, each client
-// role), with the client and server spans of a commit or cross-shard saga
-// linked by flow arrows. Byte-deterministic for a fixed span set.
-func (c *Cluster) StitchedTrace(w io.Writer) error {
-	if c.Tracer == nil {
-		return fmt.Errorf("bench: cluster built without SpanTrace")
-	}
-	return obs.WriteChromeTraceMulti(w, obs.SplitProcesses(c.Tracer.Spans()))
 }
 
 // buildNFS3 assembles the single-server baseline.

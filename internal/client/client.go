@@ -1174,10 +1174,6 @@ func (c *Client) badFrames() int64 {
 	return total
 }
 
-// CommitLatency exposes the client-observed commit latency histogram
-// (seconds, RPC send → reply).
-func (c *Client) CommitLatency() *stats.Histogram { return c.commitLat }
-
 // RegisterMetrics exposes the client counters in a metrics registry,
 // labeled with the client name.
 func (c *Client) RegisterMetrics(r *obs.Registry) {

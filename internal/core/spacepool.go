@@ -171,15 +171,6 @@ func (p *SpacePool) Stats() (localAllocs, refills, wastedBytes int64) {
 	return p.localAllocs.Load(), p.refills.Load(), p.wasted.Load()
 }
 
-// Held returns every span delegated to this pool since creation.
-func (p *SpacePool) Held() []alloc.Span {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	out := make([]alloc.Span, len(p.held))
-	copy(out, p.held)
-	return out
-}
-
 // Close stops the pool and returns the delegated spans, so the owner can
 // hand them back to the MDS (after draining pending commits — the MDS frees
 // only never-committed sub-ranges).

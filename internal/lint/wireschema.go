@@ -27,7 +27,7 @@ import (
 // WireOp is one step of a message's canonical wire schema.
 type WireOp struct {
 	// Kind is a primitive ("u8", "bool", "u16", "u32", "u64", "i64", "f64",
-	// "dur", "time", "bytes", "str", "raw"), a nested message encode
+	// "dur", "time", "bytes", "str"), a nested message encode
 	// ("msg:<pkg>.<Type>"), a helper-pair call ("fn:<pkg>.<Suffix>"), a
 	// composite ("loop", "opt" — sequence in Body), or "unsupported" for
 	// control flow the extractor cannot model.
@@ -220,7 +220,7 @@ var wirePutKinds = map[string]string{
 	"PutU8": "u8", "PutBool": "bool", "PutU16": "u16", "PutU32": "u32",
 	"PutU64": "u64", "PutI64": "i64", "PutF64": "f64",
 	"PutDuration": "dur", "PutTime": "time",
-	"PutBytes": "bytes", "PutString": "str", "PutRaw": "raw",
+	"PutBytes": "bytes", "PutString": "str",
 }
 
 var wireGetKinds = map[string]string{

@@ -7,40 +7,45 @@ import "fmt"
 // POSIX semantics removes the destination first, making the data-freeing
 // explicit). Renaming a directory into its own subtree is rejected.
 func (s *Store) Rename(srcParent FileID, srcName string, dstParent FileID, dstName string) error {
+	return await(s.BeginRename(srcParent, srcName, dstParent, dstName))
+}
+
+// BeginRename is Rename up to the journal append.
+func (s *Store) BeginRename(srcParent FileID, srcName string, dstParent FileID, dstName string) (Pending, error) {
 	if dstName == "" || dstName == "." || dstName == ".." {
-		return fmt.Errorf("%w: %q", ErrInvalidName, dstName)
+		return Pending{}, fmt.Errorf("%w: %q", ErrInvalidName, dstName)
 	}
 	s.ns.Lock()
 	src, ok := s.dirents[srcParent]
 	if !ok {
 		s.ns.Unlock()
-		return fmt.Errorf("%w: parent %d", ErrNotFound, srcParent)
+		return Pending{}, fmt.Errorf("%w: parent %d", ErrNotFound, srcParent)
 	}
 	id, ok := src[srcName]
 	if !ok {
 		s.ns.Unlock()
-		return fmt.Errorf("%w: %q", ErrNotFound, srcName)
+		return Pending{}, fmt.Errorf("%w: %q", ErrNotFound, srcName)
 	}
 	dst, ok := s.dirents[dstParent]
 	if !ok {
 		s.ns.Unlock()
-		return fmt.Errorf("%w: parent %d", ErrNotFound, dstParent)
+		return Pending{}, fmt.Errorf("%w: parent %d", ErrNotFound, dstParent)
 	}
 	if _, dup := dst[dstName]; dup {
 		s.ns.Unlock()
-		return fmt.Errorf("%w: %q", ErrExists, dstName)
+		return Pending{}, fmt.Errorf("%w: %q", ErrExists, dstName)
 	}
 	if s.nsIntents.has(id) {
 		s.ns.Unlock()
-		return fmt.Errorf("%w: inode %d is under a namespace intent", ErrNSConflict, id)
+		return Pending{}, fmt.Errorf("%w: inode %d is under a namespace intent", ErrNSConflict, id)
 	}
 	if s.nsIntents.removePending(dstParent) {
 		s.ns.Unlock()
-		return fmt.Errorf("%w: directory %d has a pending remove", ErrNSConflict, dstParent)
+		return Pending{}, fmt.Errorf("%w: directory %d has a pending remove", ErrNSConflict, dstParent)
 	}
 	if s.nsIntents.reservedName(dstParent, dstName) {
 		s.ns.Unlock()
-		return fmt.Errorf("%w: %q reserved by a pending rename", ErrNSConflict, dstName)
+		return Pending{}, fmt.Errorf("%w: %q reserved by a pending rename", ErrNSConflict, dstName)
 	}
 	ino, local := s.inodes[id]
 	if !local {
@@ -49,7 +54,7 @@ func (s *Store) Rename(srcParent FileID, srcName string, dstParent FileID, dstNa
 		// its home shard, where this store cannot run the loop check.
 		if s.remote[id] == TypeDir {
 			s.ns.Unlock()
-			return fmt.Errorf("%w: directory %d", ErrWrongShard, id)
+			return Pending{}, fmt.Errorf("%w: directory %d", ErrWrongShard, id)
 		}
 	}
 	// A directory must not become its own ancestor.
@@ -57,7 +62,7 @@ func (s *Store) Rename(srcParent FileID, srcName string, dstParent FileID, dstNa
 		for cur := dstParent; cur != RootID; {
 			if cur == id {
 				s.ns.Unlock()
-				return fmt.Errorf("%w: cannot move %q into its own subtree", ErrLoop, srcName)
+				return Pending{}, fmt.Errorf("%w: cannot move %q into its own subtree", ErrLoop, srcName)
 			}
 			parent, ok := s.parentOf(cur)
 			if !ok {
@@ -67,13 +72,13 @@ func (s *Store) Rename(srcParent FileID, srcName string, dstParent FileID, dstNa
 		}
 	}
 	s.applyRename(srcParent, srcName, dstParent, dstName, id)
-	wait := s.journalAppend(&Record{
+	p := s.journalAppend(&Record{
 		Type: RecRename, File: id,
 		Parent: srcParent, Name: srcName,
 		DstParent: dstParent, DstName: dstName,
 	})
 	s.ns.Unlock()
-	return wait()
+	return p, nil
 }
 
 // applyRename mutates the namespace. Caller holds ns exclusively.

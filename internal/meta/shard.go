@@ -349,25 +349,27 @@ func (s *Store) freeInode(id FileID) []alloc.Span {
 // a definitive link failure it rolls back with NSAbort, and a crash leaves
 // the intent for ResolveNSIntents.
 func (s *Store) CreateDetached(parent FileID, name string, typ FileType) (Attr, error) {
+	return settle(s.BeginCreateDetached(parent, name, typ))
+}
+
+// BeginCreateDetached is CreateDetached up to the journal append.
+func (s *Store) BeginCreateDetached(parent FileID, name string, typ FileType) (Attr, Pending, error) {
 	if name == "" || name == "." || name == ".." {
-		return Attr{}, fmt.Errorf("%w: %q", ErrInvalidName, name)
+		return Attr{}, Pending{}, fmt.Errorf("%w: %q", ErrInvalidName, name)
 	}
 	s.ns.Lock()
 	id := s.mintID()
 	now := s.clk.Now()
 	if _, err := s.nsIntents.publish(NSIntent{File: id, Kind: NSCreate, Type: typ, Parent: parent, Name: name}); err != nil {
 		s.ns.Unlock()
-		return Attr{}, err
+		return Attr{}, Pending{}, err
 	}
 	s.nsPrepares.Inc()
 	s.applyCreateDetached(id, typ, now)
 	attr := s.inodes[id].attr()
-	wait := s.journalAppend(&Record{Type: RecNSIntent, NSKind: NSCreate, File: id, Parent: parent, Name: name, FType: typ, MTime: now})
+	p := s.journalAppend(&Record{Type: RecNSIntent, NSKind: NSCreate, File: id, Parent: parent, Name: name, FType: typ, MTime: now})
 	s.ns.Unlock()
-	if err := wait(); err != nil {
-		return Attr{}, err
-	}
-	return attr, nil
+	return attr, p, nil
 }
 
 // applyCreateDetached materializes a detached inode. Caller holds ns
@@ -390,39 +392,44 @@ func (s *Store) applyCreateDetached(id FileID, typ FileType, mtime time.Time) {
 // a different inode fails with ErrExists; a pending removal of parent or a
 // rename reservation on the name fails with ErrNSConflict.
 func (s *Store) LinkRemote(parent FileID, name string, child FileID, typ FileType) error {
+	return await(s.BeginLinkRemote(parent, name, child, typ))
+}
+
+// BeginLinkRemote is LinkRemote up to the journal append.
+func (s *Store) BeginLinkRemote(parent FileID, name string, child FileID, typ FileType) (Pending, error) {
 	if name == "" || name == "." || name == ".." {
-		return fmt.Errorf("%w: %q", ErrInvalidName, name)
+		return Pending{}, fmt.Errorf("%w: %q", ErrInvalidName, name)
 	}
 	s.ns.Lock()
 	if _, done := s.linkDone[child]; done {
 		s.ns.Unlock()
-		return nil // retry of a commit point that already executed
+		return Pending{}, nil // retry of a commit point that already executed
 	}
 	dir, ok := s.dirents[parent]
 	if !ok {
 		s.ns.Unlock()
-		return fmt.Errorf("%w: parent %d", ErrNotFound, parent)
+		return Pending{}, fmt.Errorf("%w: parent %d", ErrNotFound, parent)
 	}
 	if have, dup := dir[name]; dup {
 		s.ns.Unlock()
 		if have == child {
-			return nil // retry of our own insert
+			return Pending{}, nil // retry of our own insert
 		}
-		return fmt.Errorf("%w: %q", ErrExists, name)
+		return Pending{}, fmt.Errorf("%w: %q", ErrExists, name)
 	}
 	if s.nsIntents.removePending(parent) {
 		s.ns.Unlock()
-		return fmt.Errorf("%w: directory %d has a pending remove", ErrNSConflict, parent)
+		return Pending{}, fmt.Errorf("%w: directory %d has a pending remove", ErrNSConflict, parent)
 	}
 	if s.nsIntents.reservedName(parent, name) {
 		s.ns.Unlock()
-		return fmt.Errorf("%w: %q reserved by a pending rename", ErrNSConflict, name)
+		return Pending{}, fmt.Errorf("%w: %q reserved by a pending rename", ErrNSConflict, name)
 	}
 	s.applyLink(parent, name, child, typ)
 	s.linkDone[child] = struct{}{}
-	wait := s.journalAppend(&Record{Type: RecLinkRemote, File: child, Parent: parent, Name: name, FType: typ})
+	p := s.journalAppend(&Record{Type: RecLinkRemote, File: child, Parent: parent, Name: name, FType: typ})
 	s.ns.Unlock()
-	return wait()
+	return p, nil
 }
 
 // UnlinkRemote deletes the dirent (parent, name) → child — the commit point
@@ -435,29 +442,34 @@ func (s *Store) LinkRemote(parent FileID, name string, child FileID, typ FileTyp
 // concurrent cross-shard rename routed through this shard) fails with
 // ErrNSConflict, keeping the remove probe unambiguous.
 func (s *Store) UnlinkRemote(parent FileID, name string, child FileID) error {
+	return await(s.BeginUnlinkRemote(parent, name, child))
+}
+
+// BeginUnlinkRemote is UnlinkRemote up to the journal append.
+func (s *Store) BeginUnlinkRemote(parent FileID, name string, child FileID) (Pending, error) {
 	s.ns.Lock()
 	if _, done := s.unlinkDone[child]; done {
 		s.ns.Unlock()
-		return nil // retry of a commit point that already executed
+		return Pending{}, nil // retry of a commit point that already executed
 	}
 	dir, ok := s.dirents[parent]
 	if !ok {
 		s.ns.Unlock()
-		return fmt.Errorf("%w: parent %d", ErrNotFound, parent)
+		return Pending{}, fmt.Errorf("%w: parent %d", ErrNotFound, parent)
 	}
 	if have, ok := dir[name]; !ok || have != child {
 		s.ns.Unlock()
-		return fmt.Errorf("%w: entry %q → %d", ErrNotFound, name, child)
+		return Pending{}, fmt.Errorf("%w: entry %q → %d", ErrNotFound, name, child)
 	}
 	if s.nsIntents.has(child) {
 		s.ns.Unlock()
-		return fmt.Errorf("%w: inode %d is under a namespace intent", ErrNSConflict, child)
+		return Pending{}, fmt.Errorf("%w: inode %d is under a namespace intent", ErrNSConflict, child)
 	}
 	s.applyUnlink(parent, name)
 	s.unlinkDone[child] = struct{}{}
-	wait := s.journalAppend(&Record{Type: RecUnlinkRemote, File: child, Parent: parent, Name: name})
+	p := s.journalAppend(&Record{Type: RecUnlinkRemote, File: child, Parent: parent, Name: name})
 	s.ns.Unlock()
-	return wait()
+	return p, nil
 }
 
 // NSPrepare publishes a namespace intent for a cross-shard remove or rename
@@ -468,6 +480,11 @@ func (s *Store) UnlinkRemote(parent FileID, name string, child FileID) error {
 // inode's type (NSRenameDst, for the edge maps at roll-forward). Idempotent
 // for a byte-identical retry.
 func (s *Store) NSPrepare(file FileID, kind NSIntentKind, typ FileType, parent FileID, name string, dstParent FileID, dstName string) error {
+	return await(s.BeginNSPrepare(file, kind, typ, parent, name, dstParent, dstName))
+}
+
+// BeginNSPrepare is NSPrepare up to the journal append.
+func (s *Store) BeginNSPrepare(file FileID, kind NSIntentKind, typ FileType, parent FileID, name string, dstParent FileID, dstName string) (Pending, error) {
 	in := NSIntent{File: file, Kind: kind, Type: typ, Parent: parent, Name: name, DstParent: dstParent, DstName: dstName}
 	s.ns.Lock()
 	switch kind {
@@ -475,51 +492,51 @@ func (s *Store) NSPrepare(file FileID, kind NSIntentKind, typ FileType, parent F
 		ino, ok := s.inodes[file]
 		if !ok {
 			s.ns.Unlock()
-			return fmt.Errorf("%w: inode %d not homed here", ErrWrongShard, file)
+			return Pending{}, fmt.Errorf("%w: inode %d not homed here", ErrWrongShard, file)
 		}
 		if ino.typ == TypeDir && len(s.dirents[file]) > 0 {
 			s.ns.Unlock()
-			return fmt.Errorf("%w: inode %d", ErrNotEmpty, file)
+			return Pending{}, fmt.Errorf("%w: inode %d", ErrNotEmpty, file)
 		}
 	case NSRenameSrc:
 		if id, ok := s.dirents[parent][name]; !ok || id != file {
 			s.ns.Unlock()
-			return fmt.Errorf("%w: %q", ErrNotFound, name)
+			return Pending{}, fmt.Errorf("%w: %q", ErrNotFound, name)
 		}
 	case NSRenameDst:
 		if dstName == "" || dstName == "." || dstName == ".." {
 			s.ns.Unlock()
-			return fmt.Errorf("%w: %q", ErrInvalidName, dstName)
+			return Pending{}, fmt.Errorf("%w: %q", ErrInvalidName, dstName)
 		}
 		dir, ok := s.dirents[dstParent]
 		if !ok {
 			s.ns.Unlock()
-			return fmt.Errorf("%w: parent %d", ErrNotFound, dstParent)
+			return Pending{}, fmt.Errorf("%w: parent %d", ErrNotFound, dstParent)
 		}
 		if _, dup := dir[dstName]; dup {
 			s.ns.Unlock()
-			return fmt.Errorf("%w: %q", ErrExists, dstName)
+			return Pending{}, fmt.Errorf("%w: %q", ErrExists, dstName)
 		}
 		if s.nsIntents.removePending(dstParent) {
 			s.ns.Unlock()
-			return fmt.Errorf("%w: directory %d has a pending remove", ErrNSConflict, dstParent)
+			return Pending{}, fmt.Errorf("%w: directory %d has a pending remove", ErrNSConflict, dstParent)
 		}
 	default:
 		s.ns.Unlock()
-		return fmt.Errorf("%w: NSPrepare kind %s", ErrNSConflict, kind)
+		return Pending{}, fmt.Errorf("%w: NSPrepare kind %s", ErrNSConflict, kind)
 	}
 	published, err := s.nsIntents.publish(in)
 	if err != nil || !published {
 		s.ns.Unlock()
-		return err
+		return Pending{}, err
 	}
 	s.nsPrepares.Inc()
-	wait := s.journalAppend(&Record{
+	p := s.journalAppend(&Record{
 		Type: RecNSIntent, NSKind: kind, File: file, FType: typ,
 		Parent: parent, Name: name, DstParent: dstParent, DstName: dstName,
 	})
 	s.ns.Unlock()
-	return wait()
+	return p, nil
 }
 
 // NSCommit resolves the live intent on file forward: create graduates the
@@ -529,20 +546,25 @@ func (s *Store) NSPrepare(file FileID, kind NSIntentKind, typ FileType, parent F
 // Idempotent: no live intent of the given kind means a previous attempt (or
 // resolution) already ran, and succeeds without journaling.
 func (s *Store) NSCommit(file FileID, kind NSIntentKind) error {
+	return await(s.BeginNSCommit(file, kind))
+}
+
+// BeginNSCommit is NSCommit up to the journal append.
+func (s *Store) BeginNSCommit(file FileID, kind NSIntentKind) (Pending, error) {
 	s.ns.Lock()
 	in, ok := s.nsIntents.get(file)
 	if !ok || in.Kind != kind {
 		s.ns.Unlock()
-		return nil
+		return Pending{}, nil
 	}
 	freed := s.applyNSCommit(in)
 	s.nsCommits.Inc()
-	wait := s.journalAppend(&Record{Type: RecNSCommit, NSKind: kind, File: file})
+	p := s.journalAppend(&Record{Type: RecNSCommit, NSKind: kind, File: file})
 	s.ns.Unlock()
 	for _, sp := range freed {
 		_ = s.cfg.AGs.FreeSpan(sp)
 	}
-	return wait()
+	return p, nil
 }
 
 // applyNSCommit mutates state for a committed intent. Caller holds ns
@@ -572,20 +594,25 @@ func (s *Store) applyNSCommit(in NSIntent) []alloc.Span {
 // detached inode and frees its space; the other kinds just drop the intent
 // (and any name reservation), leaving the namespace untouched. Idempotent.
 func (s *Store) NSAbort(file FileID, kind NSIntentKind) error {
+	return await(s.BeginNSAbort(file, kind))
+}
+
+// BeginNSAbort is NSAbort up to the journal append.
+func (s *Store) BeginNSAbort(file FileID, kind NSIntentKind) (Pending, error) {
 	s.ns.Lock()
 	in, ok := s.nsIntents.get(file)
 	if !ok || in.Kind != kind {
 		s.ns.Unlock()
-		return nil
+		return Pending{}, nil
 	}
 	freed := s.applyNSAbort(in)
 	s.nsAborts.Inc()
-	wait := s.journalAppend(&Record{Type: RecNSAbort, NSKind: kind, File: file})
+	p := s.journalAppend(&Record{Type: RecNSAbort, NSKind: kind, File: file})
 	s.ns.Unlock()
 	for _, sp := range freed {
 		_ = s.cfg.AGs.FreeSpan(sp)
 	}
-	return wait()
+	return p, nil
 }
 
 // applyNSAbort mutates state for an aborted intent. Caller holds ns

@@ -156,7 +156,9 @@ const inodeStripes = 64
 // journaled; the journal slot is reserved while the in-memory mutation is
 // applied under the lock that ordered it, so replay order equals apply order,
 // and the method only returns once the record is durable (write-ahead rule:
-// clients never observe an acknowledgement that a crash can roll back).
+// clients never observe an acknowledgement that a crash can roll back). Each
+// has a Begin form that returns right after the append, with a Pending whose
+// Wait is the durability wait.
 //
 // Concurrency model (lock order: namespace -> inode stripe -> intent table
 // -> ns-intent table -> delegation -> journal reservation):
@@ -303,15 +305,79 @@ func (s *Store) RegisterMetrics(r *obs.Registry) {
 }
 
 // journalAppend appends rec (if a journal is configured) while the caller
-// holds the lock that ordered the mutation, then waits for durability after
-// the caller releases it. It returns a wait function; call it with the lock
-// dropped.
-func (s *Store) journalAppend(rec *Record) func() error {
+// holds the lock that ordered the mutation. The returned Pending waits for
+// durability; call its Wait with the lock dropped.
+func (s *Store) journalAppend(rec *Record) Pending {
 	if s.cfg.Journal == nil {
-		return func() error { return nil }
+		return Pending{}
 	}
-	ch := s.cfg.Journal.Append(rec)
-	return func() error { return <-ch }
+	return Pending{durable: s.cfg.Journal.Append(rec)}
+}
+
+// Pending is a mutation that is applied and appended to the journal but whose
+// record may not be durable yet: the second half of every journaled Store
+// method. The Begin* form of a method returns it; the blocking form is begin
+// plus Wait. Its owner must call Wait exactly once, and must not acknowledge
+// the mutation before Wait returns nil (write-ahead rule). Splitting the wait
+// off lets the MDS release its daemon while the record is in flight, and lets
+// one daemon begin every commit of a compound frame before waiting on any, so
+// their records share group-commit batches. The zero Pending has nothing to
+// wait for (no journal, or a no-op retry that appended no record).
+type Pending struct {
+	durable <-chan error
+	// Span state, set only for a traced commit: the timeline splits into
+	// lock wait (namespace + stripe acquisition), apply (mutation under the
+	// stripe lock, up to the journal append) and journal (append → durable),
+	// so the three spans tile the commit whenever Wait is called.
+	s                             *Store
+	commitID                      uint64
+	tc                            obs.SpanContext
+	lockStart, applyStart, jStart time.Time
+}
+
+// Wait blocks until the record is durable and returns the journal's verdict.
+func (p *Pending) Wait() error {
+	var err error
+	if p.durable != nil {
+		err = <-p.durable
+	}
+	if p.commitID == 0 {
+		return err
+	}
+	s, tc := p.s, p.tc
+	end := s.clk.Now()
+	s.cfg.Tracer.RecordSpan(obs.Span{Track: s.track, Name: obs.SpanMDSLockWait, CommitID: p.commitID,
+		TraceID: tc.TraceID, SpanID: childSpan(tc, obs.SpanMDSLockWait), Parent: tc.SpanID,
+		Start: p.lockStart, End: p.applyStart})
+	s.cfg.Tracer.RecordSpan(obs.Span{Track: s.track, Name: obs.SpanMDSApply, CommitID: p.commitID,
+		TraceID: tc.TraceID, SpanID: childSpan(tc, obs.SpanMDSApply), Parent: tc.SpanID,
+		Start: p.applyStart, End: p.jStart})
+	s.cfg.Tracer.RecordSpan(obs.Span{Track: s.track, Name: obs.SpanMDSJournal, CommitID: p.commitID,
+		TraceID: tc.TraceID, SpanID: childSpan(tc, obs.SpanMDSJournal), Parent: tc.SpanID,
+		Start: p.jStart, End: end})
+	return err
+}
+
+// Empty reports whether p has nothing to wait for.
+func (p *Pending) Empty() bool { return p.durable == nil && p.commitID == 0 }
+
+// await finishes a begin form in place: its error, else its durability
+// verdict.
+func await(p Pending, err error) error {
+	if err != nil {
+		return err
+	}
+	return p.Wait()
+}
+
+// settle is await for a begin form that also returns a value, which is
+// returned only once the mutation is durable.
+func settle[T any](v T, p Pending, err error) (T, error) {
+	if err = await(p, err); err != nil {
+		var zero T
+		return zero, err
+	}
+	return v, nil
 }
 
 // ---------------------------------------------------------------------------
@@ -319,36 +385,38 @@ func (s *Store) journalAppend(rec *Record) func() error {
 
 // Create makes a file or directory under parent and returns its attributes.
 func (s *Store) Create(parent FileID, name string, typ FileType) (Attr, error) {
+	return settle(s.BeginCreate(parent, name, typ))
+}
+
+// BeginCreate is Create up to the journal append.
+func (s *Store) BeginCreate(parent FileID, name string, typ FileType) (Attr, Pending, error) {
 	if name == "" || name == "." || name == ".." {
-		return Attr{}, fmt.Errorf("%w: %q", ErrInvalidName, name)
+		return Attr{}, Pending{}, fmt.Errorf("%w: %q", ErrInvalidName, name)
 	}
 	s.ns.Lock()
 	dir, ok := s.dirents[parent]
 	if !ok {
 		s.ns.Unlock()
-		return Attr{}, fmt.Errorf("%w: parent %d", ErrNotFound, parent)
+		return Attr{}, Pending{}, fmt.Errorf("%w: parent %d", ErrNotFound, parent)
 	}
 	if _, dup := dir[name]; dup {
 		s.ns.Unlock()
-		return Attr{}, fmt.Errorf("%w: %q", ErrExists, name)
+		return Attr{}, Pending{}, fmt.Errorf("%w: %q", ErrExists, name)
 	}
 	if s.nsIntents.removePending(parent) {
 		s.ns.Unlock()
-		return Attr{}, fmt.Errorf("%w: directory %d has a pending remove", ErrNSConflict, parent)
+		return Attr{}, Pending{}, fmt.Errorf("%w: directory %d has a pending remove", ErrNSConflict, parent)
 	}
 	if s.nsIntents.reservedName(parent, name) {
 		s.ns.Unlock()
-		return Attr{}, fmt.Errorf("%w: %q reserved by a pending rename", ErrNSConflict, name)
+		return Attr{}, Pending{}, fmt.Errorf("%w: %q reserved by a pending rename", ErrNSConflict, name)
 	}
 	id := s.mintID()
 	s.applyCreate(id, parent, name, typ, s.clk.Now())
 	attr := s.inodes[id].attr()
-	wait := s.journalAppend(&Record{Type: RecCreate, File: id, Parent: parent, Name: name, FType: typ, MTime: attr.MTime})
+	p := s.journalAppend(&Record{Type: RecCreate, File: id, Parent: parent, Name: name, FType: typ, MTime: attr.MTime})
 	s.ns.Unlock()
-	if err := wait(); err != nil {
-		return Attr{}, err
-	}
-	return attr, nil
+	return attr, p, nil
 }
 
 // applyCreate mutates state; caller holds ns exclusively.
@@ -439,16 +507,22 @@ func (s *Store) ReadDir(id FileID) ([]DirEnt, error) {
 
 // Remove unlinks name under parent, freeing the file's space.
 func (s *Store) Remove(parent FileID, name string) error {
+	return await(s.BeginRemove(parent, name))
+}
+
+// BeginRemove is Remove up to the journal append. The freed space returns to
+// the allocator before it returns.
+func (s *Store) BeginRemove(parent FileID, name string) (Pending, error) {
 	s.ns.Lock()
 	dir, ok := s.dirents[parent]
 	if !ok {
 		s.ns.Unlock()
-		return fmt.Errorf("%w: parent %d", ErrNotFound, parent)
+		return Pending{}, fmt.Errorf("%w: parent %d", ErrNotFound, parent)
 	}
 	id, ok := dir[name]
 	if !ok {
 		s.ns.Unlock()
-		return fmt.Errorf("%w: %q", ErrNotFound, name)
+		return Pending{}, fmt.Errorf("%w: %q", ErrNotFound, name)
 	}
 	ino, local := s.inodes[id]
 	if !local {
@@ -456,23 +530,23 @@ func (s *Store) Remove(parent FileID, name string) error {
 		// emptiness) lives on its home shard — the client must use the
 		// cross-shard remove protocol instead.
 		s.ns.Unlock()
-		return fmt.Errorf("%w: inode %d", ErrWrongShard, id)
+		return Pending{}, fmt.Errorf("%w: inode %d", ErrWrongShard, id)
 	}
 	if s.nsIntents.has(id) {
 		s.ns.Unlock()
-		return fmt.Errorf("%w: inode %d is under a namespace intent", ErrNSConflict, id)
+		return Pending{}, fmt.Errorf("%w: inode %d is under a namespace intent", ErrNSConflict, id)
 	}
 	if ino.typ == TypeDir && len(s.dirents[id]) > 0 {
 		s.ns.Unlock()
-		return fmt.Errorf("%w: %q", ErrNotEmpty, name)
+		return Pending{}, fmt.Errorf("%w: %q", ErrNotEmpty, name)
 	}
 	freed := s.applyRemove(parent, name, id)
-	wait := s.journalAppend(&Record{Type: RecRemove, File: id, Parent: parent, Name: name})
+	p := s.journalAppend(&Record{Type: RecRemove, File: id, Parent: parent, Name: name})
 	s.ns.Unlock()
 	for _, sp := range freed {
 		_ = s.cfg.AGs.FreeSpan(sp)
 	}
-	return wait()
+	return p, nil
 }
 
 // applyRemove unlinks and returns the spans to free. Caller holds ns
@@ -523,15 +597,21 @@ func (s *Store) GetLayout(id FileID, off, n int64, flags LayoutFlags) (Layout, e
 // space for any uncovered gap. New extents start uncommitted and are
 // attributed to owner for orphan GC.
 func (s *Store) AllocLayout(owner string, id FileID, off, n int64) (Layout, error) {
+	return settle(s.BeginAllocLayout(owner, id, off, n))
+}
+
+// BeginAllocLayout is AllocLayout up to the journal append. When nothing was
+// allocated there is no record, and the Pending is zero.
+func (s *Store) BeginAllocLayout(owner string, id FileID, off, n int64) (Layout, Pending, error) {
 	s.ns.RLock()
 	ino, ok := s.inodes[id]
 	if !ok {
 		s.ns.RUnlock()
-		return Layout{}, fmt.Errorf("%w: inode %d", ErrNotFound, id)
+		return Layout{}, Pending{}, fmt.Errorf("%w: inode %d", ErrNotFound, id)
 	}
 	if ino.typ != TypeFile {
 		s.ns.RUnlock()
-		return Layout{}, fmt.Errorf("%w: inode %d", ErrIsDir, id)
+		return Layout{}, Pending{}, fmt.Errorf("%w: inode %d", ErrIsDir, id)
 	}
 	// Uncovered sub-ranges of [off, off+n).
 	st := s.stripe(id)
@@ -548,7 +628,7 @@ func (s *Store) AllocLayout(owner string, id FileID, off, n int64) (Layout, erro
 			for _, e := range newExts {
 				_ = s.cfg.AGs.FreeSpan(alloc.Span{Dev: int(e.Dev), Off: e.VolOff, Len: e.Len})
 			}
-			return Layout{}, err
+			return Layout{}, Pending{}, err
 		}
 		fo := h.off
 		for _, sp := range spans {
@@ -564,7 +644,7 @@ func (s *Store) AllocLayout(owner string, id FileID, off, n int64) (Layout, erro
 		for _, e := range newExts {
 			_ = s.cfg.AGs.FreeSpan(alloc.Span{Dev: int(e.Dev), Off: e.VolOff, Len: e.Len})
 		}
-		return Layout{}, fmt.Errorf("%w: inode %d removed during allocation", ErrNotFound, id)
+		return Layout{}, Pending{}, fmt.Errorf("%w: inode %d removed during allocation", ErrNotFound, id)
 	}
 	st.Lock()
 	if err := s.applyAlloc(ino, owner, newExts); err != nil {
@@ -573,21 +653,16 @@ func (s *Store) AllocLayout(owner string, id FileID, off, n int64) (Layout, erro
 		for _, e := range newExts {
 			_ = s.cfg.AGs.FreeSpan(alloc.Span{Dev: int(e.Dev), Off: e.VolOff, Len: e.Len})
 		}
-		return Layout{}, err
+		return Layout{}, Pending{}, err
 	}
 	lay := Layout{File: id, Extents: ino.extentsIn(off, n, false)}
-	var wait func() error
+	var p Pending
 	if len(newExts) > 0 {
-		wait = s.journalAppend(&Record{Type: RecAlloc, File: id, Owner: owner, Extents: newExts})
-	} else {
-		wait = func() error { return nil }
+		p = s.journalAppend(&Record{Type: RecAlloc, File: id, Owner: owner, Extents: newExts})
 	}
 	st.Unlock()
 	s.ns.RUnlock()
-	if err := wait(); err != nil {
-		return Layout{}, err
-	}
-	return lay, nil
+	return lay, p, nil
 }
 
 // applyAlloc publishes exts as owner's write intents and inserts them as
@@ -623,92 +698,49 @@ func insertExtent(list []Extent, e Extent) []Extent {
 // so commits to different files proceed in parallel and their journal
 // records coalesce in the group-commit batcher.
 func (s *Store) Commit(owner string, id FileID, exts []Extent, size int64, mtime time.Time) error {
-	p, err := s.BeginCommit(owner, id, exts, size, mtime, 0, obs.SpanContext{})
-	if err != nil {
-		return err
-	}
-	return p.Wait()
+	return await(s.BeginCommit(owner, id, exts, size, mtime, 0, obs.SpanContext{}))
 }
 
-// PendingCommit is a commit that is applied and appended to the journal but
-// whose record may not be durable yet. Its owner must call Wait exactly once,
-// and must not acknowledge the commit before Wait returns nil (write-ahead
-// rule).
-type PendingCommit struct {
-	s       *Store
-	durable func() error
-	// Span state, set only when the commit is traced: the timeline splits
-	// into lock wait (namespace + stripe acquisition), apply (mutation under
-	// the stripe lock, up to the journal append) and journal (append →
-	// durable), so the three spans tile the commit whenever Wait is called.
-	commitID                      uint64
-	tc                            obs.SpanContext
-	lockStart, applyStart, jStart time.Time
-}
-
-// BeginCommit is the first half of Commit: it validates and applies the
-// commit and appends its journal record, returning before the record is
-// durable. Splitting the durability wait off lets one MDS daemon begin every
-// commit of a compound frame before waiting on any, so their records share
-// group-commit batches. A non-zero commitID traces the commit; a non-zero tc
-// links the store spans under tc.SpanID (the MDS commit handler span),
-// stitching the store into the client's distributed trace. All spans are
-// recorded by Wait, after the locks are dropped, so tracing can never extend
-// a lock hold.
-func (s *Store) BeginCommit(owner string, id FileID, exts []Extent, size int64, mtime time.Time, commitID uint64, tc obs.SpanContext) (PendingCommit, error) {
-	p := PendingCommit{s: s}
-	if s.cfg.Tracer.Enabled() && commitID != 0 {
-		p.commitID, p.tc, p.lockStart = commitID, tc, s.clk.Now()
+// BeginCommit is Commit up to the journal append. A non-zero commitID traces
+// the commit; a non-zero tc links the store spans under tc.SpanID (the MDS
+// commit handler span), stitching the store into the client's distributed
+// trace. All spans are recorded by Wait, after the locks are dropped, so
+// tracing can never extend a lock hold.
+func (s *Store) BeginCommit(owner string, id FileID, exts []Extent, size int64, mtime time.Time, commitID uint64, tc obs.SpanContext) (Pending, error) {
+	var lockStart, applyStart time.Time
+	traced := s.cfg.Tracer.Enabled() && commitID != 0
+	if traced {
+		lockStart = s.clk.Now()
 	}
 	s.ns.RLock()
 	ino, ok := s.inodes[id]
 	if !ok {
 		s.ns.RUnlock()
-		return PendingCommit{}, fmt.Errorf("%w: inode %d", ErrNotFound, id)
+		return Pending{}, fmt.Errorf("%w: inode %d", ErrNotFound, id)
 	}
 	if ino.typ != TypeFile {
 		s.ns.RUnlock()
-		return PendingCommit{}, fmt.Errorf("%w: inode %d", ErrIsDir, id)
+		return Pending{}, fmt.Errorf("%w: inode %d", ErrIsDir, id)
 	}
 	st := s.stripe(id)
 	st.Lock()
-	if p.commitID != 0 {
-		p.applyStart = s.clk.Now()
+	if traced {
+		applyStart = s.clk.Now()
 	}
 	if err := s.applyCommit(ino, owner, exts, size, mtime, true); err != nil {
 		st.Unlock()
 		s.ns.RUnlock()
-		return PendingCommit{}, err
+		return Pending{}, err
 	}
 	rec := &Record{Type: RecCommit, File: id, Owner: owner, Size: size, MTime: mtime, Extents: exts}
-	p.durable = s.journalAppend(rec)
+	p := s.journalAppend(rec)
 	st.Unlock()
 	s.ns.RUnlock()
-	if p.commitID != 0 {
-		p.jStart = s.clk.Now()
+	if traced {
+		p.s, p.commitID, p.tc = s, commitID, tc
+		p.lockStart, p.applyStart, p.jStart = lockStart, applyStart, s.clk.Now()
 	}
 	return p, nil
-}
-
-// Wait blocks until the commit's journal record is durable and returns the
-// journal's verdict.
-func (p *PendingCommit) Wait() error {
-	err := p.durable()
-	if p.commitID == 0 {
-		return err
-	}
-	s, tc := p.s, p.tc
-	end := s.clk.Now()
-	s.cfg.Tracer.RecordSpan(obs.Span{Track: s.track, Name: obs.SpanMDSLockWait, CommitID: p.commitID,
-		TraceID: tc.TraceID, SpanID: childSpan(tc, obs.SpanMDSLockWait), Parent: tc.SpanID,
-		Start: p.lockStart, End: p.applyStart})
-	s.cfg.Tracer.RecordSpan(obs.Span{Track: s.track, Name: obs.SpanMDSApply, CommitID: p.commitID,
-		TraceID: tc.TraceID, SpanID: childSpan(tc, obs.SpanMDSApply), Parent: tc.SpanID,
-		Start: p.applyStart, End: p.jStart})
-	s.cfg.Tracer.RecordSpan(obs.Span{Track: s.track, Name: obs.SpanMDSJournal, CommitID: p.commitID,
-		TraceID: tc.TraceID, SpanID: childSpan(tc, obs.SpanMDSJournal), Parent: tc.SpanID,
-		Start: p.jStart, End: end})
-	return err
 }
 
 // childSpan derives the span id of one store-side child, or 0 when the
@@ -797,23 +829,31 @@ func (s *Store) findDelegation(owner string, e Extent) *delegation {
 // Delegate grants owner a contiguous chunk of physical space for local
 // small-file allocation (§IV-A).
 func (s *Store) Delegate(owner string, size int64) (alloc.Span, error) {
+	return settle(s.BeginDelegate(owner, size))
+}
+
+// BeginDelegate is Delegate up to the journal append.
+func (s *Store) BeginDelegate(owner string, size int64) (alloc.Span, Pending, error) {
 	sp, err := s.cfg.AGs.Alloc(owner, size)
 	if err != nil {
-		return alloc.Span{}, err
+		return alloc.Span{}, Pending{}, err
 	}
 	s.ns.Lock()
 	s.delegations[owner] = append(s.delegations[owner], &delegation{owner: owner, span: sp})
-	wait := s.journalAppend(&Record{Type: RecDelegate, Owner: owner, SpanDev: uint32(sp.Dev), SpanOff: sp.Off, SpanLen: sp.Len})
+	p := s.journalAppend(&Record{Type: RecDelegate, Owner: owner, SpanDev: uint32(sp.Dev), SpanOff: sp.Off, SpanLen: sp.Len})
 	s.ns.Unlock()
-	if err := wait(); err != nil {
-		return alloc.Span{}, err
-	}
-	return sp, nil
+	return sp, p, nil
 }
 
 // ReturnDelegation gives back a delegation; sub-ranges never committed are
 // freed.
 func (s *Store) ReturnDelegation(owner string, sp alloc.Span) error {
+	return await(s.BeginReturnDelegation(owner, sp))
+}
+
+// BeginReturnDelegation is ReturnDelegation up to the journal append. The
+// unused sub-ranges return to the allocator before it returns.
+func (s *Store) BeginReturnDelegation(owner string, sp alloc.Span) (Pending, error) {
 	s.ns.Lock()
 	ds := s.delegations[owner]
 	idx := -1
@@ -825,17 +865,17 @@ func (s *Store) ReturnDelegation(owner string, sp alloc.Span) error {
 	}
 	if idx < 0 {
 		s.ns.Unlock()
-		return fmt.Errorf("%w: %s %v", ErrNoDelegation, owner, sp)
+		return Pending{}, fmt.Errorf("%w: %s %v", ErrNoDelegation, owner, sp)
 	}
 	d := ds[idx]
 	s.delegations[owner] = append(ds[:idx], ds[idx+1:]...)
 	holes := gaps(d.span.Off, d.span.End(), d.used)
-	wait := s.journalAppend(&Record{Type: RecDelegReturn, Owner: owner, SpanDev: uint32(sp.Dev), SpanOff: sp.Off, SpanLen: sp.Len})
+	p := s.journalAppend(&Record{Type: RecDelegReturn, Owner: owner, SpanDev: uint32(sp.Dev), SpanOff: sp.Off, SpanLen: sp.Len})
 	s.ns.Unlock()
 	for _, h := range holes {
 		_ = s.cfg.AGs.FreeSpan(alloc.Span{Dev: sp.Dev, Off: h.off, Len: h.end - h.off})
 	}
-	return wait()
+	return p, nil
 }
 
 // ClientGone revokes everything owner holds: delegations (their never-
@@ -845,13 +885,13 @@ func (s *Store) ReturnDelegation(owner string, sp alloc.Span) error {
 func (s *Store) ClientGone(owner string) (orphanBytes int64) {
 	s.ns.Lock()
 	freed := s.applyClientGone(owner)
-	wait := s.journalAppend(&Record{Type: RecClientGone, Owner: owner})
+	p := s.journalAppend(&Record{Type: RecClientGone, Owner: owner})
 	s.ns.Unlock()
 	for _, sp := range freed {
 		orphanBytes += sp.Len
 		_ = s.cfg.AGs.FreeSpan(sp)
 	}
-	_ = wait()
+	_ = p.Wait()
 	return orphanBytes
 }
 

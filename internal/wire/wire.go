@@ -78,10 +78,6 @@ func (w *Buffer) PutDuration(d time.Duration) { w.PutI64(int64(d)) }
 // PutTime appends a time as Unix nanoseconds.
 func (w *Buffer) PutTime(t time.Time) { w.PutI64(t.UnixNano()) }
 
-// PutRaw appends p verbatim, with no length prefix. Used for frame payloads
-// whose length is delimited by the frame itself.
-func (w *Buffer) PutRaw(p []byte) { w.b = append(w.b, p...) }
-
 // PutBytes appends a u32 length prefix followed by the bytes.
 func (w *Buffer) PutBytes(p []byte) {
 	w.PutU32(uint32(len(p)))
